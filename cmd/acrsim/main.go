@@ -19,9 +19,11 @@
 //
 // -workers N with N > 1 executes each simulated machine through the
 // deterministic parallel engine (conflict-checked speculative rounds,
-// bit-identical to serial execution); 0 means GOMAXPROCS. The telemetry
-// replay always runs serially, so exporting with -workers > 1 doubles as a
-// parallel-vs-serial determinism cross-check.
+// bit-identical to serial execution); 0 means GOMAXPROCS. The summary
+// then reports the engine's round counters (sim.ParallelStats) for the
+// configured run. The telemetry replay always runs serially, so exporting
+// with -workers > 1 doubles as a parallel-vs-serial determinism
+// cross-check.
 //
 // -compile selects the block-compilation execution engine (internal/cpu's
 // flat micro-op streams): off (default), on, or auto. The engine is
@@ -152,15 +154,20 @@ func main() {
 		}
 		defer server.Close()
 		fmt.Fprintf(os.Stderr, "acrsim: observatory listening on http://%s\n", addr)
-		r.Lifecycle = registry
 	}
 	// The NoCkpt baseline and the configured run go through the parallel
 	// driver; the memoising cache deduplicates the baseline the
 	// checkpointed run calibrates against.
-	out, err := r.RunAll([]bench.Job{
+	jobs := []bench.Job{
 		{Bench: *benchName, Params: p, Spec: bench.NoCkpt},
 		{Bench: *benchName, Params: p, Spec: spec},
-	})
+	}
+	tap := &parallelTap{key: jobs[1].KeyString()}
+	if registry != nil {
+		tap.next = registry
+	}
+	r.Lifecycle = tap
+	out, err := r.RunAll(jobs)
 	if err != nil {
 		fatal(err)
 	}
@@ -215,6 +222,7 @@ func main() {
 		fmt.Printf("AddrMap      %d inserts, %d too-long, %d hits/%d lookups, peak %d records / %d input words\n",
 			am.Inserts, am.SliceTooLong, am.Hits, am.Lookups, am.PeakOccupancy, am.PeakInputWords)
 	}
+	tap.print(simWorkers)
 	if *verbose && len(res.Intervals) > 0 {
 		fmt.Println("\ninterval  baseline-size  logged  omitted  reduction%")
 		for i, iv := range res.Intervals {

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"acr/internal/bench"
 	"acr/internal/ckpt"
+	"acr/internal/workloads"
 )
 
 // TestParseSpecRoundTrip: every renderable configuration name must parse
@@ -100,5 +102,40 @@ func TestStrategyFlagParsesEveryKind(t *testing.T) {
 		if kind.Describe() == "unknown" || kind.Describe() == "" {
 			t.Errorf("strategy %v lacks a description", kind)
 		}
+	}
+}
+
+// countingLifecycle counts the jobs it is asked to observe; RunAll's pool
+// calls it from several goroutines.
+type countingLifecycle struct{ begins atomic.Int32 }
+
+func (c *countingLifecycle) JobBegin(bench.Job, string, bool) bench.JobObservation {
+	c.begins.Add(1)
+	return nil
+}
+
+// TestParallelTapCapturesConfiguredRun: the tap receives the configured
+// job's parallel-engine counters, and still hands every job to the
+// lifecycle it wraps.
+func TestParallelTapCapturesConfiguredRun(t *testing.T) {
+	p := bench.Params{Threads: 4, Class: workloads.ClassS}
+	jobs := []bench.Job{
+		{Bench: "is", Params: p, Spec: bench.NoCkpt},
+		{Bench: "is", Params: p, Spec: bench.ReCkptE},
+	}
+	inner := &countingLifecycle{}
+	tap := &parallelTap{key: jobs[1].KeyString(), next: inner}
+	r := bench.NewRunner()
+	r.Workers = 2
+	r.SimWorkers = 2
+	r.Lifecycle = tap
+	if _, err := r.RunAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if !tap.seen || tap.stats.Committed == 0 || tap.stats.HookEvents == 0 {
+		t.Fatalf("tap captured %+v (seen %v), want a committed amnesic run", tap.stats, tap.seen)
+	}
+	if n := int(inner.begins.Load()); n != len(jobs) {
+		t.Fatalf("wrapped lifecycle saw %d jobs, want %d", n, len(jobs))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"acr/internal/ckpt"
@@ -12,15 +13,31 @@ import (
 )
 
 // recordingLifecycle captures every JobBegin/JobEnd and counts observed
-// events, for asserting the driver fires the seam correctly.
+// events, for asserting the driver fires the seam correctly. RunAll's
+// worker pool calls JobBegin concurrently and in no fixed order, so calls
+// are recorded under a mutex with their job, and assertions look them up
+// by job spec rather than by arrival index.
 type recordingLifecycle struct {
+	mu     sync.Mutex
 	begins []beginCall
-	tokens []*recordingObservation
 }
 
 type beginCall struct {
+	job    Job
 	key    string
 	shared bool
+	tok    *recordingObservation
+}
+
+// bySpec returns the recorded begins of jobs with the given spec.
+func (l *recordingLifecycle) bySpec(spec Spec) []beginCall {
+	var out []beginCall
+	for _, b := range l.begins {
+		if b.job.Spec == spec {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 type recordingObservation struct {
@@ -39,9 +56,10 @@ func (o *recordingObservation) JobEnd(res sim.Result, err error) {
 }
 
 func (l *recordingLifecycle) JobBegin(j Job, key string, shared bool) JobObservation {
-	l.begins = append(l.begins, beginCall{key: key, shared: shared})
 	tok := &recordingObservation{}
-	l.tokens = append(l.tokens, tok)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.begins = append(l.begins, beginCall{job: j, key: key, shared: shared, tok: tok})
 	return tok
 }
 
@@ -67,24 +85,28 @@ func TestLifecycleObservesRunAll(t *testing.T) {
 	if len(lc.begins) != 3 {
 		t.Fatalf("JobBegin fired %d times, want 3", len(lc.begins))
 	}
-	for i, tok := range lc.tokens {
-		if !tok.ended {
-			t.Fatalf("token %d never received JobEnd", i)
+	for _, b := range lc.begins {
+		if !b.tok.ended {
+			t.Fatalf("job %s never received JobEnd", b.key)
 		}
-		if tok.err != nil {
-			t.Fatalf("token %d: %v", i, tok.err)
+		if b.tok.err != nil {
+			t.Fatalf("job %s: %v", b.key, b.tok.err)
 		}
+	}
+	plain, ckpt := lc.bySpec(NoCkpt), lc.bySpec(CkptNE)
+	if len(plain) != 2 || len(ckpt) != 1 {
+		t.Fatalf("JobBegin saw %d NoCkpt and %d CkptNE jobs, want 2 and 1", len(plain), len(ckpt))
 	}
 	// The duplicate NoCkpt job shares the first job's cache cell.
-	if lc.begins[0].key != lc.begins[2].key {
-		t.Fatalf("duplicate jobs got different keys: %q vs %q", lc.begins[0].key, lc.begins[2].key)
+	if plain[0].key != plain[1].key {
+		t.Fatalf("duplicate jobs got different keys: %q vs %q", plain[0].key, plain[1].key)
 	}
-	if lc.begins[0].key == lc.begins[1].key {
+	if plain[0].key == ckpt[0].key {
 		t.Fatal("distinct specs share a key")
 	}
 	// The checkpointed job's winning execution observes events
 	// (checkpoints at least); a job that rode the cache observes none.
-	ckptTok := lc.tokens[1]
+	ckptTok := ckpt[0].tok
 	if ckptTok.events == 0 {
 		t.Fatal("checkpointed job observed no events")
 	}
@@ -143,7 +165,7 @@ func TestLifecycleObservesRunObserved(t *testing.T) {
 	if len(lc.begins) != 1 {
 		t.Fatalf("JobBegin fired %d times, want 1", len(lc.begins))
 	}
-	tok := lc.tokens[0]
+	tok := lc.begins[0].tok
 	if !tok.ended || tok.err != nil {
 		t.Fatalf("token: ended=%v err=%v", tok.ended, tok.err)
 	}

@@ -281,12 +281,14 @@ func (m *Manager) ACR() *core.Handler { return m.acr }
 // Stats returns accumulated statistics.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// ResetStats clears the accumulated statistics and interval history. The
-// machine calls it when the region of interest begins, so reported volumes
-// cover the ROI only (the paper measures the ROI, §IV); logs, snapshots and
-// the AddrMap are untouched.
-func (m *Manager) ResetStats() {
-	m.stats = Stats{}
+// ResetStats replaces the accumulated statistics with carry and clears the
+// interval history. The machine calls it when the region of interest
+// begins, so reported volumes cover the ROI only (the paper measures the
+// ROI, §IV); logs, snapshots and the AddrMap are untouched. carry holds
+// what recoveries detected inside the ROI, but before the boundary that
+// resets, added to the statistics (zero when there were none).
+func (m *Manager) ResetStats(carry Stats) {
+	m.stats = carry
 	m.intervals = nil
 	m.curStat = IntervalStat{}
 }

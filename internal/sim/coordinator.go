@@ -35,6 +35,9 @@ type ckptCoordinator struct {
 	ckptsDone  int64
 	roiPending bool
 	defers     int
+	// roiCarry accumulates the statistics of recoveries detected inside
+	// the ROI before its first boundary; the ROI reset keeps them.
+	roiCarry ckpt.Stats
 }
 
 func newCkptCoordinator(m *Machine) *ckptCoordinator {
@@ -109,6 +112,26 @@ func shouldDefer(history []ckpt.IntervalStat, open ckpt.IntervalStat) bool {
 	return ratio > avgRatio+0.02
 }
 
+// noteRecovery records what a recovery detected at detect added to the
+// manager's statistics (before and after its roll-back of depth intervals)
+// when the detection lies inside the ROI but the ROI reset is still
+// pending: the ROI starts between boundaries, and the reset at its first
+// boundary must not drop a recovery that belongs to it.
+func (co *ckptCoordinator) noteRecovery(detect int64, before, after ckpt.Stats, depth int) {
+	if !co.roiPending || detect < co.m.cfg.ROIStartCycles {
+		return
+	}
+	c := &co.roiCarry
+	c.Recoveries += after.Recoveries - before.Recoveries
+	c.RestoredWords += after.RestoredWords - before.RestoredWords
+	c.RecomputedWords += after.RecomputedWords - before.RecomputedWords
+	for i := range c.ReplayLens {
+		c.ReplayLens[i] += after.ReplayLens[i] - before.ReplayLens[i]
+	}
+	c.MultiSnapshotRollbacks += after.MultiSnapshotRollbacks - before.MultiSnapshotRollbacks
+	c.MaxRollbackDepth = max(c.MaxRollbackDepth, int64(depth))
+}
+
 // establish creates a coordinated checkpoint (global or local).
 func (co *ckptCoordinator) establish() {
 	m := co.m
@@ -156,7 +179,7 @@ func (co *ckptCoordinator) establish() {
 		// during warm-up kept the AddrMap and log bits in steady
 		// state but are not reported and not budgeted.
 		co.roiPending = false
-		m.mgr.ResetStats()
+		m.mgr.ResetStats(co.roiCarry)
 	case co.roiPending:
 		// Warm-up checkpoint: unbudgeted.
 	default:

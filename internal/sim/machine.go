@@ -469,6 +469,23 @@ func barrierCycles(n int) int64 { return 40 + 4*int64(n) }
 // handlerCycles is the fixed checkpoint/recovery handler overhead.
 const handlerCycles = 25
 
+// SchedStatsObserver is an optional Observer extension: when a run
+// completes, the machine hands the serial engine's dispatch diagnostics to
+// every configured observer that implements it. Kept separate from the
+// event stream because SchedStats describe the engine, not the simulated
+// machine — they vary with Coalesce/Compile/Workers while Result does not.
+type SchedStatsObserver interface {
+	ObserveSchedStats(SchedStats)
+}
+
+// ParallelStatsObserver is the parallel engine's counterpart of
+// SchedStatsObserver: when a run through the parallel engine completes,
+// the machine hands its ParallelStats to every configured observer that
+// implements it. Serial runs never call it — the engine did not run.
+type ParallelStatsObserver interface {
+	ObserveParallelStats(ParallelStats)
+}
+
 // Run executes the program to completion and returns the run summary.
 //
 // The loop is event-paced, not instruction-paced: each iteration picks the
@@ -479,15 +496,6 @@ const handlerCycles = 25
 // Within a quantum only the picked core's clock moves, so the instruction
 // interleaving — and therefore every statistic — is bit-identical to the
 // per-instruction scheduling it replaces.
-// SchedStatsObserver is an optional Observer extension: when a run
-// completes, the machine hands the serial engine's dispatch diagnostics to
-// every configured observer that implements it. Kept separate from the
-// event stream because SchedStats describe the engine, not the simulated
-// machine — they vary with Coalesce/Compile/Workers while Result does not.
-type SchedStatsObserver interface {
-	ObserveSchedStats(SchedStats)
-}
-
 func (m *Machine) Run() (Result, error) {
 	res, err := m.runEngine()
 	if err == nil {
@@ -495,13 +503,19 @@ func (m *Machine) Run() (Result, error) {
 			if so, ok := o.(SchedStatsObserver); ok {
 				so.ObserveSchedStats(m.schedStats)
 			}
+			if po, ok := o.(ParallelStatsObserver); ok && m.parallel() {
+				po.ObserveParallelStats(m.parStats)
+			}
 		}
 	}
 	return res, err
 }
 
+// parallel reports whether Run executes through the parallel engine.
+func (m *Machine) parallel() bool { return m.cfg.Workers > 1 && len(m.cores) > 1 }
+
 func (m *Machine) runEngine() (Result, error) {
-	if m.cfg.Workers > 1 && len(m.cores) > 1 {
+	if m.parallel() {
 		return m.runParallel()
 	}
 	return m.runSerial()

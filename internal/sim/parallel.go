@@ -29,7 +29,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"acr/internal/cpu"
 	"acr/internal/mem"
@@ -58,6 +57,9 @@ type ParallelStats struct {
 	// ReplayInstrs counts instructions re-executed serially after aborts.
 	SpecInstrs   int64
 	ReplayInstrs int64
+	// HookEvents counts deferred checkpoint-hook events (first stores and
+	// ASSOC-ADDRs) replayed at commit.
+	HookEvents int64
 }
 
 // ParallelStats returns the engine counters of the last Run (zero for
@@ -97,7 +99,7 @@ type parallelEngine struct {
 	roundH   int64 // current round horizon; frozen while workers run
 	eligible []int
 	writerOf map[int64]int // line -> writing core, reused per round
-	merged   []hookEvent   // reusable merge buffer
+	heap     []mergeCursor // commit's merge heap, one cursor per core
 
 	jobs    chan int
 	results chan int
@@ -118,6 +120,7 @@ func newParallelEngine(m *Machine) *parallelEngine {
 		panics:   make([]any, n),
 		eligible: make([]int, 0, n),
 		writerOf: make(map[int64]int, 256),
+		heap:     make([]mergeCursor, 0, n),
 		jobs:     make(chan int, n),
 		results:  make(chan int, n),
 	}
@@ -276,38 +279,12 @@ func (e *parallelEngine) commit() error {
 		e.views[id].Commit()
 	}
 
-	// 2. Hook replay in the serial merge order (⌊start cycle⌋, core id,
-	// per-core program order): checkpoint log appends and AddrMap
-	// mutations land exactly as the serial oracle would order them. The
-	// stable sort keeps each core's events in program order within a
-	// cycle. A replay stall differing from the prediction would mean
-	// mispredicted timing is already baked into a committed clock; the
-	// conflict and poison rules make that unreachable, and the check
-	// turns any gap in that argument into a hard error instead of a
-	// silently wrong profile.
-	e.merged = e.merged[:0]
-	for _, id := range e.eligible {
-		e.merged = append(e.merged, e.events[id]...)
-	}
-	sort.SliceStable(e.merged, func(i, j int) bool {
-		if e.merged[i].cycle != e.merged[j].cycle {
-			return e.merged[i].cycle < e.merged[j].cycle
-		}
-		return e.merged[i].core < e.merged[j].core
-	})
-	for i := range e.merged {
-		ev := &e.merged[i]
-		var stall int64
-		switch ev.kind {
-		case evFirstStore:
-			stall = m.FirstStore(int(ev.core), ev.addr, ev.old)
-		case evAssoc:
-			stall = m.Assoc(int(ev.core), int(ev.pc), ev.addr, ev.recipe)
-		}
-		if stall != ev.predicted {
-			return fmt.Errorf("sim: parallel hook replay diverged on core %d addr %d (predicted stall %d, replay %d); speculation is unsound for this run",
-				ev.core, ev.addr, ev.predicted, stall)
-		}
+	// 2. Hook replay: a k-way merge of the per-core event streams into
+	// the serial order (⌊start cycle⌋, core id, per-core program order),
+	// so checkpoint log appends and AddrMap mutations land exactly as the
+	// serial oracle would order them.
+	if err := e.replayHooks(); err != nil {
+		return err
 	}
 
 	// 3. Recipe arenas: compaction was deferred during the round so the
@@ -337,6 +314,137 @@ func (e *parallelEngine) commit() error {
 	// The committed quanta moved many cores' clocks at once.
 	m.sched.clocksMoved()
 	return nil
+}
+
+// replayHooks replays the round's deferred hook events through the real
+// cpu.Hooks in the serial merge order. A replay stall differing from the
+// prediction would mean mispredicted timing is already baked into a
+// committed clock; the conflict and poison rules make that unreachable,
+// and the check turns any gap in that argument into a hard error instead
+// of a silently wrong profile. The merged cycles are checked the same way:
+// a stream out of cycle order shows up as a step back in the merged
+// sequence, right after the event it should have preceded.
+//
+//acr:noalloc
+func (e *parallelEngine) replayHooks() error {
+	m := e.m
+	e.mergeInit()
+	last := int64(-1 << 63)
+	for {
+		ev := e.mergeNext()
+		if ev == nil {
+			return nil
+		}
+		if ev.cycle < last {
+			return hookOrderError(ev, last)
+		}
+		last = ev.cycle
+		var stall int64
+		switch ev.kind {
+		case evFirstStore:
+			stall = m.FirstStore(int(ev.core), ev.addr, ev.old)
+		case evAssoc:
+			stall = m.Assoc(int(ev.core), int(ev.pc), ev.addr, ev.recipe)
+		}
+		if stall != ev.predicted {
+			return hookStallError(ev, stall)
+		}
+		m.parStats.HookEvents++
+	}
+}
+
+func hookOrderError(ev *hookEvent, last int64) error {
+	return fmt.Errorf("sim: parallel hook stream of core %d out of cycle order (%d after %d)",
+		ev.core, ev.cycle, last)
+}
+
+func hookStallError(ev *hookEvent, stall int64) error {
+	return fmt.Errorf("sim: parallel hook replay diverged on core %d addr %d (predicted stall %d, replay %d); speculation is unsound for this run",
+		ev.core, ev.addr, ev.predicted, stall)
+}
+
+// mergeCursor is one core's read position in its deferred event stream.
+// cycle caches the start cycle of the stream's next event, the merge key.
+//
+// Commit merges the eligible cores' streams into the serial order (cycle,
+// core id, per-core program order) over a binary min-heap of cursors
+// keyed on (cycle, core id). Each stream is non-decreasing in cycle —
+// events are recorded in program order at the issuing instruction's start
+// cycle — so the merge equals a stable sort of the streams' concatenation
+// on (cycle, core). The heap's capacity is the core count, fixed at
+// engine construction, so merging never allocates.
+type mergeCursor struct {
+	cycle int64
+	core  int32
+	pos   int32
+}
+
+// mergeInit starts a merge over the eligible cores' streams.
+//
+//acr:noalloc
+func (e *parallelEngine) mergeInit() {
+	e.heap = e.heap[:0]
+	for _, id := range e.eligible {
+		if s := e.events[id]; len(s) > 0 {
+			e.heap = append(e.heap, mergeCursor{cycle: s[0].cycle, core: int32(id)}) //acr:alloc-ok capacity is the core count
+		}
+	}
+	for i := len(e.heap)/2 - 1; i >= 0; i-- {
+		e.mergeDown(i)
+	}
+}
+
+// mergeNext returns the next event in merge order, read in place from its
+// stream, or nil once every stream is drained.
+//
+//acr:noalloc
+func (e *parallelEngine) mergeNext() *hookEvent {
+	if len(e.heap) == 0 {
+		return nil
+	}
+	top := &e.heap[0]
+	s := e.events[top.core]
+	ev := &s[top.pos]
+	top.pos++
+	if int(top.pos) < len(s) {
+		top.cycle = s[top.pos].cycle
+	} else {
+		last := len(e.heap) - 1
+		e.heap[0] = e.heap[last]
+		e.heap = e.heap[:last]
+	}
+	e.mergeDown(0)
+	return ev
+}
+
+// mergeDown restores the heap property below index i.
+//
+//acr:noalloc
+func (e *parallelEngine) mergeDown(i int) {
+	h := e.heap
+	n := len(h)
+	for {
+		j := i
+		if l := 2*i + 1; l < n && e.mergeBefore(l, j) {
+			j = l
+		}
+		if r := 2*i + 2; r < n && e.mergeBefore(r, j) {
+			j = r
+		}
+		if j == i {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// mergeBefore orders heap entries a and b by (cycle, core id). Distinct
+// cursors belong to distinct cores, so the order is total and the merge
+// deterministic.
+func (e *parallelEngine) mergeBefore(a, b int) bool {
+	x, y := &e.heap[a], &e.heap[b]
+	return x.cycle < y.cycle || (x.cycle == y.cycle && x.core < y.core)
 }
 
 // abort rolls every participating core, view and tracker shard back to the

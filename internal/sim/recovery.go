@@ -48,9 +48,13 @@ func (re *recoveryEngine) recover(errOccur, errDetect int64) error {
 	if err != nil {
 		return err
 	}
+	before := m.mgr.Stats()
 	info, err := m.mgr.Rollback(target, len(m.cores))
 	if err != nil {
 		return err
+	}
+	if co, ok := m.coord.(*ckptCoordinator); ok {
+		co.noteRecovery(errDetect, before, m.mgr.Stats(), info.IntervalsApplied)
 	}
 
 	// Detection point: every live core has at least reached errDetect.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	acr "acr/internal/core"
+	"acr/internal/fault"
 )
 
 // TestROIStatsExcludeWarmup: with an ROI start, the reported interval
@@ -42,6 +43,62 @@ func TestROIRunsAreStillCorrect(t *testing.T) {
 		t.Fatalf("recoveries = %d", res.Ckpt.Recoveries)
 	}
 	checkSameMem(t, memv, base, "roi")
+}
+
+// TestROIRecoveryBeforeFirstBoundaryCounts: the ROI starts between
+// checkpoint boundaries, and statistics reset at the first boundary inside
+// it. An error detected in that gap is a ROI recovery, so the reset must
+// keep it; one detected before the ROI start is warm-up and stays out.
+func TestROIRecoveryBeforeFirstBoundaryCounts(t *testing.T) {
+	_, want := baseline(t)
+	for _, tc := range []struct {
+		name  string
+		occur func(period int64) int64
+		count int64
+	}{
+		{"in the gap", func(p int64) int64 { return 2*p + p/3 }, 1},
+		{"in warm-up", func(p int64) int64 { return p + p/3 }, 0},
+	} {
+		cfg := ckptConfig(t, true, 8)
+		period := cfg.PeriodCycles
+		cfg.ROIStartCycles = 2*period + period/4
+		cfg.MaxCheckpoints = 4
+		cfg.Errors = &fault.Schedule{Times: []int64{tc.occur(period)}, DetectLatency: period / 4}
+		cfg.RecordTimeline = true
+		res, memv := runCfg(t, cfg)
+		checkSameMem(t, memv, want, tc.name)
+
+		// The shape under test: detection precedes the first boundary at
+		// or after the ROI start.
+		var detect, reset int64 = -1, -1
+		var rec Event
+		for _, e := range res.Timeline {
+			switch {
+			case e.Kind == EvError:
+				detect = e.Time
+			case e.Kind == EvRecovery:
+				rec = e
+			case e.Kind == EvCheckpoint && e.Time >= cfg.ROIStartCycles && reset < 0:
+				reset = e.Time
+			}
+		}
+		if detect < 0 || reset < 0 || detect >= reset {
+			t.Fatalf("%s: error detected at %d, ROI reset at %d; want detection before the reset", tc.name, detect, reset)
+		}
+		// A kept recovery keeps its whole footprint: the volumes its
+		// EvRecovery reported and its roll-back depth.
+		want := Result{}.Ckpt
+		if tc.count > 0 {
+			want.Recoveries, want.MaxRollbackDepth = tc.count, 1
+			want.RestoredWords, want.RecomputedWords = rec.Detail, rec.Aux
+		}
+		got := res.Ckpt
+		if got.Recoveries != want.Recoveries || got.MaxRollbackDepth != want.MaxRollbackDepth ||
+			got.RestoredWords != want.RestoredWords || got.RecomputedWords != want.RecomputedWords {
+			t.Errorf("%s: recovery statistics %+v, want recoveries %d, depth %d, restored %d, recomputed %d",
+				tc.name, got, want.Recoveries, want.MaxRollbackDepth, want.RestoredWords, want.RecomputedWords)
+		}
+	}
 }
 
 // TestAdaptiveDefersReduceCheckpoints: on a workload with uniformly high

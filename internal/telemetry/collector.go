@@ -200,13 +200,14 @@ func (c *Collector) ObserveResult(res sim.Result) {
 	}
 }
 
-// SchedCollector exports the serial engine's dispatch diagnostics — the
-// quantum-length histogram and the coalescing counters. It is a separate
-// observer from Collector because sim.SchedStats describe the engine, not
-// the simulated machine: they move with the Coalesce/Compile/Workers speed
-// seams while Result does not, and profiles recorded without a
-// SchedCollector attached (notably the fastpath oracle fixture) must stay
-// byte-identical.
+// SchedCollector exports the engines' dispatch diagnostics — the serial
+// engine's quantum-length histogram and coalescing counters, and the
+// parallel engine's round counters when the run used it. It is a separate
+// observer from Collector because sim.SchedStats and sim.ParallelStats
+// describe the engine, not the simulated machine: they move with the
+// Coalesce/Compile/Workers speed seams while Result does not, and profiles
+// recorded without a SchedCollector attached (notably the fastpath oracle
+// fixture) must stay byte-identical.
 type SchedCollector struct{ reg *Registry }
 
 // NewSchedCollector returns a collector writing into reg when a run
@@ -240,6 +241,19 @@ func (s *SchedCollector) ObserveSchedStats(st sim.SchedStats) {
 		"Coalescing eager executions that advanced a peer core.").Set(float64(st.EagerCalls))
 	s.reg.Gauge("acr_sched_eager_instrs",
 		"Peer instructions retired eagerly by quantum coalescing.").Set(float64(st.EagerInstrs))
+}
+
+// ObserveParallelStats implements sim.ParallelStatsObserver.
+func (s *SchedCollector) ObserveParallelStats(st sim.ParallelStats) {
+	gauge := func(name, help string, v int64) { s.reg.Gauge(name, help).Set(float64(v)) }
+	gauge("acr_parallel_rounds", "Speculative rounds the parallel engine attempted.", st.Rounds)
+	gauge("acr_parallel_committed", "Speculative rounds committed.", st.Committed)
+	gauge("acr_parallel_aborted", "Speculative rounds aborted and replayed serially.", st.Aborted)
+	gauge("acr_parallel_serial_quanta",
+		"Quanta run serially because fewer than two cores were eligible.", st.SerialQuanta)
+	gauge("acr_parallel_spec_instrs", "Instructions executed speculatively and committed.", st.SpecInstrs)
+	gauge("acr_parallel_replay_instrs", "Instructions re-executed serially after aborts.", st.ReplayInstrs)
+	gauge("acr_parallel_hook_events", "Deferred checkpoint-hook events replayed at commit.", st.HookEvents)
 }
 
 // quantumBuckets are the registry-side edges mirroring the machine's
