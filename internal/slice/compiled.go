@@ -181,11 +181,15 @@ func (s *compileScratch) set(r Ref, v int32) {
 
 // Compile serialises the recipe r into a standalone Slice, deduplicating
 // shared sub-expressions, or reports false if the recipe is opaque or needs
-// more than maxOps instructions. The walk aborts as soon as the op budget
-// is exceeded, so Compile stays cheap even when invoked on every
-// ASSOC-ADDR. Every emitted Slice is gated through Validate — the runtime
-// counterpart of the static recomputability proof — so dynamic extraction
-// can never hand recovery a Slice violating the soundness contract.
+// more than maxOps instructions. A recipe whose op-chain depth exceeds
+// maxOps is rejected in O(1), before any walk: children are strictly older
+// arena nodes, so a depth-d chain is d distinct ops the Slice must contain,
+// and the full walk would reject it too. Only recipes passing that bound
+// are walked, which is what keeps Compile cheap on every ASSOC-ADDR (most
+// over-threshold recipes are long chains). Every emitted Slice is gated
+// through Validate — the runtime counterpart of the static recomputability
+// proof — so dynamic extraction can never hand recovery a Slice violating
+// the soundness contract.
 func (t *Tracker) Compile(core int, r Ref, maxOps int) (*Compiled, bool) {
 	c, err := t.CompileVerified(core, r, maxOps)
 	return c, err == nil
@@ -213,7 +217,10 @@ func (t *Tracker) CompileVerified(core int, r Ref, maxOps int) (*Compiled, error
 //acr:noalloc
 func (t *Tracker) CompileInto(core int, into *Compiled, r Ref, maxOps int) (*Compiled, error) {
 	s := &t.shards[core]
-	if s.at(r).kind == kindOpaque {
+	// Depth bound (see Compile): a chain of more than maxOps ops cannot
+	// fit. Leaves have depth 0, so a negative budget still admits them,
+	// as the walk does.
+	if n := s.at(r); n.kind == kindOpaque || int(n.depth) > max(maxOps, 0) {
 		return nil, errSliceBudget
 	}
 	c := into

@@ -46,11 +46,15 @@ type node struct {
 	kind nodeKind
 	op   isa.Op
 	size uint8 // saturating unrolled instruction count
-	a    Ref
-	b    Ref
-	c    Ref
-	imm  int64
-	val  int64 // captured value for kindInput leaves
+	// depth is the longest chain of op nodes from this node down to a
+	// leaf (0 for leaves). depth ≤ size < SatSize, so it never saturates;
+	// it sits in size's padding and keeps the node at 32 bytes.
+	depth uint8
+	a     Ref
+	b     Ref
+	c     Ref
+	imm   int64
+	val   int64 // captured value for kindInput leaves
 }
 
 // shard is one core's private recipe store. Recipes never reference nodes
@@ -246,7 +250,7 @@ func (t *Tracker) OnALU(core int, in isa.Instr) {
 		a = s.recipe(in.Rs)
 		b = s.recipe(in.Rt)
 	}
-	size := 1
+	size, depth := 1, uint8(0)
 	for _, ch := range [3]Ref{a, b, c} {
 		if ch == noRef {
 			continue
@@ -257,13 +261,14 @@ func (t *Tracker) OnALU(core int, in isa.Instr) {
 			return
 		}
 		size += int(n.size)
+		depth = max(depth, n.depth)
 	}
 	if size >= SatSize {
 		s.setRecipe(rd, s.opaque)
 		return
 	}
 	s.setRecipe(rd, s.push(node{
-		kind: kindOp, op: in.Op, size: uint8(size),
+		kind: kindOp, op: in.Op, size: uint8(size), depth: depth + 1,
 		a: a, b: b, c: c, imm: in.Imm,
 	}))
 }
