@@ -3,27 +3,23 @@
 // Usage:
 //
 //	acrbench [-exp all|quick|tableI|fig1|fig6|fig7|fig8|fig9|tableII|fig10|fig11|fig12|fig13|scal|strategies]
-//	         [-threads N] [-class S|W|A] [-j N] [-workers N] [-compile off]
+//	         [-threads N] [-class S|W|A] [-j N] [-workers N]
 //	         [-strategy-benches is,cg,mg] [-strategy-cores 4,8]
 //	         [-strategy-errors 1] [-strategy-json matrix.json]
 //	         [-serve ADDR] [-journal runs.jsonl] [-linger DUR]
 //
 // -j sizes the driver's job pool (distinct machines in flight); -workers
 // sets the intra-run worker count per machine (the deterministic parallel
-// engine, bit-identical to serial execution). -compile off|on|auto selects
-// the block-compilation execution engine for those machines — also
-// bit-identical, so every table is unchanged; "on" is rejected with
-// -workers > 1 (speculative rounds bypass block compilation) and "auto"
-// compiles exactly the serial executions.
+// engine, bit-identical to serial execution, so every table is unchanged).
 //
 // -serve starts the HTTP observatory (internal/obsrv) on ADDR before the
 // sweep: every job registers in the live run registry, /metrics exposes the
 // aggregated telemetry, /runs/{key}/events streams each run's flight
-// recorder, and /debug/pprof replaces the old ad-hoc pprof listener (the
-// -pprof flag is a deprecated alias). -journal appends the run registry's
-// JSONL journal to a file (loading any existing entries first); -linger
-// keeps the observatory serving for the given duration after the sweep so
-// scrapers and CI smoke checks can inspect a finished process.
+// recorder, and /debug/pprof serves the Go profiler. -journal appends the
+// run registry's JSONL journal to a file (loading any existing entries
+// first); -linger keeps the observatory serving for the given duration
+// after the sweep so scrapers and CI smoke checks can inspect a finished
+// process.
 //
 // -exp quick is fig6 alone — a small, checkpoint-heavy slice for smoke
 // tests; like the ablations it is not part of 'all'.
@@ -64,7 +60,6 @@ func main() {
 	asCSV := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jobs := flag.Int("j", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	workers := flag.Int("workers", 1, "intra-run simulation workers per machine (>1 = parallel engine, bit-identical to serial; 0 = GOMAXPROCS)")
-	compileFlag := flag.String("compile", "off", "block-compilation engine: off|on|auto (bit-identical to the interpreter; on requires -workers 1, auto compiles serial executions only)")
 	verbose := flag.Bool("v", false, "print per-job wall-time and queue-wait reports")
 	stratBenches := flag.String("strategy-benches", "is,cg,mg", "benchmarks for -exp strategies (comma separated)")
 	stratCores := flag.String("strategy-cores", "4,8", "core counts for -exp strategies (comma separated)")
@@ -72,15 +67,9 @@ func main() {
 	stratJSON := flag.String("strategy-json", "", "write the strategy matrix as JSON to this file")
 	metricsDir := flag.String("metrics-dir", "", "write driver metrics (driver.prom, driver.json) into this directory")
 	serveAddr := flag.String("serve", "", "serve the HTTP observatory (/metrics, /runs, /debug/pprof) on this address (e.g. localhost:6060, :0)")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -serve (pprof now lives under the observatory)")
 	journalPath := flag.String("journal", "", "append the run registry's JSONL journal to this file (requires -serve)")
 	linger := flag.Duration("linger", 0, "keep the observatory serving this long after the sweep finishes")
 	flag.Parse()
-
-	if *serveAddr == "" && *pprofAddr != "" {
-		fmt.Fprintln(os.Stderr, "acrbench: -pprof is deprecated, serving the full observatory (use -serve)")
-		*serveAddr = *pprofAddr
-	}
 
 	cl, err := workloads.ClassByName(*class)
 	if err != nil {
@@ -92,13 +81,6 @@ func main() {
 	r.SimWorkers = *workers
 	if r.SimWorkers == 0 {
 		r.SimWorkers = runtime.GOMAXPROCS(0)
-	}
-	compileMode, err := bench.ParseCompileMode(*compileFlag)
-	if err != nil {
-		fatal(err)
-	}
-	if r.SimCompile, err = compileMode.Resolve(r.SimWorkers); err != nil {
-		fatal(err)
 	}
 
 	var registry *obsrv.Registry

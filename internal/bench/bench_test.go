@@ -60,6 +60,22 @@ func TestRunnerRejectsUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// TestRunnerRejectsNegativeCkpts: a negative checkpoint budget is user
+// input (acrsim -ckpts), so both Run and the RunAll pool must return an
+// error instead of dividing the calibration period by zero.
+func TestRunnerRejectsNegativeCkpts(t *testing.T) {
+	for _, n := range []int{-1, -2} {
+		spec := Spec{Ckpt: true, Amnesic: true, NumCkpts: n}
+		if _, err := NewRunner().Run("is", tinyParams(), spec); err == nil {
+			t.Errorf("Run accepted NumCkpts=%d", n)
+		}
+		jobs := []Job{{Bench: "is", Params: tinyParams(), Spec: spec}}
+		if _, err := NewRunner().RunAll(jobs); err == nil {
+			t.Errorf("RunAll accepted NumCkpts=%d", n)
+		}
+	}
+}
+
 func TestCheckpointBudgetRealised(t *testing.T) {
 	r := NewRunner()
 	p := tinyParams()

@@ -71,10 +71,10 @@ func TestMemoKeyProbesPairwiseDistinct(t *testing.T) {
 // TestMemoExemptKnobsShareCell: the //acr:memo-exempt grammar promises the
 // opposite direction — changing an exempt Runner knob must neither open a
 // new cache cell nor change the memoised result. The declared knobs
-// (Workers, SimWorkers, SimCompile, SimCoalesce) are flipped across their
-// interesting settings — SimCompile leaning on the compile fuzz oracle's
-// bit-identity guarantee and SimCoalesce on the scheduler's coalescing
-// contract (NewRunner enables it, so the flipped setting is off).
+// (Workers, SimWorkers, SimCoalesce) are flipped across their interesting
+// settings — SimWorkers leaning on the parallel engine's bit-identity
+// guarantee and SimCoalesce on the scheduler's coalescing contract
+// (NewRunner enables it, so the flipped setting is off).
 func TestMemoExemptKnobsShareCell(t *testing.T) {
 	p := tinyParams()
 	spec := Spec{Ckpt: true, Amnesic: true, NumCkpts: 10}
@@ -89,7 +89,6 @@ func TestMemoExemptKnobsShareCell(t *testing.T) {
 	// Same runner, knobs changed: the warmed cache must be reused as-is.
 	r.Workers = 4
 	r.SimWorkers = 2
-	r.SimCompile = true
 	r.SimCoalesce = false
 	if _, err := r.Run("is", p, spec); err != nil {
 		t.Fatal(err)
@@ -103,7 +102,6 @@ func TestMemoExemptKnobsShareCell(t *testing.T) {
 	r2 := NewRunner()
 	r2.Workers = 4
 	r2.SimWorkers = 2
-	r2.SimCompile = true
 	r2.SimCoalesce = false
 	got, err := r2.Run("is", p, spec)
 	if err != nil {

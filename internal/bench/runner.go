@@ -178,22 +178,12 @@ type Runner struct {
 	//acr:memo-exempt
 	SimWorkers int
 
-	// SimCompile hands sim.Config.Compile to every execution: the
-	// block-compilation engine. The engine is bit-identical to the
-	// interpreter by contract (the sim package's compile fuzz oracle),
-	// so the knob is deliberately not part of the memoisation key: a
-	// cache warmed with the engine on serves -compile=false runs and
-	// vice versa.
-	//
-	//acr:memo-exempt
-	SimCompile bool
-
 	// SimCoalesce hands sim.Config.Coalesce to every execution: scheduler
 	// quantum coalescing on the serial engine. Coalescing only reorders
 	// provably core-private instructions, so results are bit-identical
 	// with it on or off (the sim package's fuzz and oracle suites pin
 	// this) and the knob is deliberately not part of the memoisation key,
-	// exactly like SimCompile. NewRunner enables it.
+	// exactly like SimWorkers. NewRunner enables it.
 	//
 	//acr:memo-exempt
 	SimCoalesce bool
@@ -268,6 +258,10 @@ func (r *Runner) run(benchName string, p Params, spec Spec, obs ...sim.Observer)
 	if err != nil {
 		return sim.Result{}, err
 	}
+	// A negative budget leaves no period to calibrate (n+1 can be zero).
+	if spec.NumCkpts < 0 {
+		return sim.Result{}, fmt.Errorf("bench %s: checkpoint count %d is negative", benchName, spec.NumCkpts)
+	}
 	if !spec.Ckpt {
 		return r.execute(bench, p, spec, r.SimWorkers, 0, 0, 0, obs...)
 	}
@@ -313,7 +307,6 @@ func (r *Runner) execute(bench workloads.Bench, p Params, spec Spec, workers int
 	spec = spec.normalized()
 	cfg := sim.DefaultConfig(p.Threads)
 	cfg.Workers = workers
-	cfg.Compile = r.SimCompile
 	cfg.Coalesce = r.SimCoalesce
 	cfg.Observers = obs
 	if spec.Ckpt {

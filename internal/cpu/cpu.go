@@ -4,9 +4,10 @@
 // retire at the issue rate (4 per cycle), memory instructions stall for the
 // latency of the cache level that services them.
 //
-// Both execution engines — the Step interpreter and the block-compilation
-// BlockRunner — are deterministic functions of architectural state: no
-// wall-clock reads, no process-global randomness, no map-iteration order.
+// Both execution paths — the Step interpreter and the speculative SpecStep
+// the parallel engine drives — are deterministic functions of architectural
+// state: no wall-clock reads, no process-global randomness, no map-iteration
+// order.
 // The sim package's bit-identity oracles depend on it.
 //
 //acr:deterministic

@@ -3,7 +3,6 @@ package cpu
 import (
 	"testing"
 
-	"acr/internal/analysis"
 	"acr/internal/energy"
 	"acr/internal/isa"
 	"acr/internal/mem"
@@ -40,84 +39,17 @@ func dispatchSetup(tb testing.TB, p *prog.Program) (*Core, *mem.System) {
 	return c, sys
 }
 
-func dispatchRunner(tb testing.TB, p *prog.Program, sys *mem.System) *BlockRunner {
-	tb.Helper()
-	table, err := analysis.BuildBlockTable(p.Code, p.Entry)
-	if err != nil {
-		tb.Fatalf("BuildBlockTable: %v", err)
-	}
-	r := NewBlockRunner(p, table, sys, nil, nil, false)
-	if r == nil {
-		tb.Fatal("NewBlockRunner returned nil")
-	}
-	return r
-}
-
-const dispatchBudget = int64(1) << 40
-
-// BenchmarkStepDispatch measures the per-instruction dispatch cost of the
-// three execution regimes: the interpreter (Step per op), the compiled
-// engine driven with an unbounded quantum (pure threaded-code speed), and
-// the compiled engine driven one cycle at a time (the quantum length the
-// multi-core scheduler typically grants, so entry/exit bookkeeping shows
-// up). The ns/instr metric is the comparable number.
+// BenchmarkStepDispatch measures the interpreter's per-instruction
+// dispatch cost (Step per op). The ns/instr metric is the comparable number.
 func BenchmarkStepDispatch(b *testing.B) {
 	p := dispatchKernel(50)
-
-	run := func(b *testing.B, exec func(c *Core, sys *mem.System) int64) {
-		var instrs int64
-		for i := 0; i < b.N; i++ {
-			c, sys := dispatchSetup(b, p)
-			instrs = exec(c, sys)
+	var instrs int64
+	for i := 0; i < b.N; i++ {
+		c, sys := dispatchSetup(b, p)
+		for c.State == Running {
+			c.Step(p, sys, nil, nil)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs*int64(b.N)), "ns/instr")
+		instrs = c.Instrs
 	}
-
-	b.Run("interp", func(b *testing.B) {
-		run(b, func(c *Core, sys *mem.System) int64 {
-			for c.State == Running {
-				c.Step(p, sys, nil, nil)
-			}
-			return c.Instrs
-		})
-	})
-	b.Run("compiled", func(b *testing.B) {
-		run(b, func(c *Core, sys *mem.System) int64 {
-			r := dispatchRunner(b, p, sys)
-			r.Run(c, unboundedCycles, dispatchBudget)
-			return c.Instrs
-		})
-	})
-	b.Run("compiled-quantum", func(b *testing.B) {
-		run(b, func(c *Core, sys *mem.System) int64 {
-			r := dispatchRunner(b, p, sys)
-			for c.State == Running {
-				r.Run(c, c.Cycles()+1, dispatchBudget)
-			}
-			return c.Instrs
-		})
-	})
-}
-
-const unboundedCycles = int64(^uint64(0)>>1) / qPerCycle
-
-// TestCompiledDispatchAllocBudget pins the compiled engine's hot path to
-// zero allocations: once a program's blocks are compiled, executing them
-// must not allocate, or quantum-rate garbage would dominate long runs.
-func TestCompiledDispatchAllocBudget(t *testing.T) {
-	p := dispatchKernel(2)
-	c, sys := dispatchSetup(t, p)
-	r := dispatchRunner(t, p, sys)
-	// Warm run: compiles every block.
-	r.Run(c, unboundedCycles, dispatchBudget)
-
-	allocs := testing.AllocsPerRun(5, func() {
-		c2 := New(0, p.Entry, 1)
-		r.Run(c2, unboundedCycles, dispatchBudget)
-	})
-	// The probe body allocates the fresh core; the engine itself must
-	// add nothing.
-	if allocs > 1 {
-		t.Fatalf("compiled run allocates %.1f objects/run, want ≤ 1 (the probe's own core)", allocs)
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs*int64(b.N)), "ns/instr")
 }

@@ -2,18 +2,16 @@ package isa
 
 import "math"
 
-// ALUOp is the specialised form of one ALU operation: a branch-free
-// function of the source values a (Rs), b (Rt), c (Rd before the
-// instruction; only FMA reads it) and the immediate. The block compiler
-// (internal/cpu) captures the function once per compiled instruction so
-// the hot path pays one indirect call instead of re-dispatching the
-// EvalALU switch per retirement.
-type ALUOp func(a, b, c, imm int64) int64
+// aluOp is the function form of one ALU operation: a branch-free function
+// of the source values a (Rs), b (Rt), c (Rd before the instruction; only
+// FMA reads it) and the immediate.
+type aluOp func(a, b, c, imm int64) int64
 
-// aluFns holds one specialised function per ALU op. Each entry computes
-// exactly what the corresponding EvalALU case computes — the equivalence
-// is enforced bit-for-bit by TestALUFnMatchesEvalALU.
-var aluFns = [numOps]ALUOp{
+// aluFns holds one function per ALU op, indexed by Op; EvalALU dispatches
+// through it. Each entry computes exactly what the corresponding
+// evalALUSwitch case computes — the equivalence is enforced bit-for-bit by
+// TestEvalALUMatchesSwitch.
+var aluFns = [numOps]aluOp{
 	ADD: func(a, b, _, _ int64) int64 { return a + b },
 	SUB: func(a, b, _, _ int64) int64 { return a - b },
 	MUL: func(a, b, _, _ int64) int64 { return a * b },
@@ -68,13 +66,4 @@ var aluFns = [numOps]ALUOp{
 		}
 		return 0
 	},
-}
-
-// ALUFn returns the specialised function for op. It panics if op is not an
-// ALU operation; callers gate on Op.IsALU, exactly as for EvalALU.
-func ALUFn(op Op) ALUOp {
-	if !op.IsALU() {
-		panic("isa: ALUFn on non-ALU op " + op.String())
-	}
-	return aluFns[op]
 }

@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// TestALUFnMatchesEvalALU proves the specialised ALU table equivalent to
-// the reference switch interpreter over adversarial corners and a
-// randomized sweep of every ALU op. EvalALU itself dispatches through the
-// table (so all engines share one code path), which makes this test the
+// TestEvalALUMatchesSwitch proves EvalALU and its aluFns table equivalent
+// to the reference switch interpreter over adversarial corners and a
+// randomized sweep of every ALU op. EvalALU dispatches through the table
+// (so all execution paths share one code path), which makes this test the
 // semantic anchor: the table must still compute what the switch computes.
 // The only tolerated divergence is the NaN payload of floating-point
 // results, which the language does not pin down across separately
 // compiled expressions — both sides must then agree the result is NaN.
-func TestALUFnMatchesEvalALU(t *testing.T) {
+func TestEvalALUMatchesSwitch(t *testing.T) {
 	corners := []int64{
 		0, 1, -1, 2, -2, 63, 64, -63, -64,
 		math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1,
@@ -34,20 +34,15 @@ func TestALUFnMatchesEvalALU(t *testing.T) {
 		if !op.IsALU() {
 			continue
 		}
-		fn := ALUFn(op)
 		check := func(a, b, c, imm int64) {
 			t.Helper()
 			want := evalALUSwitch(op, a, b, c, imm)
-			got := fn(a, b, c, imm)
-			if got2 := EvalALU(op, a, b, c, imm); got2 != got {
-				t.Fatalf("%v(a=%#x b=%#x c=%#x imm=%#x): EvalALU %#x diverges from its own table %#x",
-					op, a, b, c, imm, got2, got)
-			}
+			got := EvalALU(op, a, b, c, imm)
 			if got != want {
 				if op.IsFloat() && math.IsNaN(i2f(got)) && math.IsNaN(i2f(want)) {
 					return // NaN payloads may differ across compiled expressions
 				}
-				t.Fatalf("%v(a=%#x b=%#x c=%#x imm=%#x): ALUFn %#x, reference switch %#x",
+				t.Fatalf("%v(a=%#x b=%#x c=%#x imm=%#x): EvalALU %#x, reference switch %#x",
 					op, a, b, c, imm, got, want)
 			}
 		}
@@ -62,16 +57,17 @@ func TestALUFnMatchesEvalALU(t *testing.T) {
 	}
 }
 
-// TestALUFnRejectsNonALU mirrors EvalALU's contract on non-ALU ops.
-func TestALUFnRejectsNonALU(t *testing.T) {
+// TestEvalALURejectsNonALU pins EvalALU's contract on non-ALU ops: it
+// panics rather than index the table out of its domain.
+func TestEvalALURejectsNonALU(t *testing.T) {
 	for _, op := range []Op{NOP, LD, ST, BEQ, JMP, HALT, BARRIER, ASSOCADDR} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("ALUFn(%v) did not panic", op)
+					t.Errorf("EvalALU(%v) did not panic", op)
 				}
 			}()
-			ALUFn(op)
+			EvalALU(op, 1, 2, 3, 4)
 		}()
 	}
 }

@@ -11,13 +11,12 @@ import "math"
 //
 // EvalALU panics if op is not an ALU operation; callers gate on Op.IsALU.
 //
-// EvalALU dispatches through the aluFns specialisation table (alufn.go) —
-// the same function values the block compiler captures per instruction —
-// so the interpreter, the Slice recomputation engine and compiled blocks
+// EvalALU dispatches through the aluFns table (alufn.go), so the
+// interpreter, the speculative SpecStep and the Slice recomputation engine
 // execute the identical machine code for every op. Sharing one code path
-// is what makes floating-point results bit-identical across engines even
-// for NaN payloads, whose propagation the language does not pin down
-// across separately compiled expressions.
+// is what makes floating-point results bit-identical across them even for
+// NaN payloads, whose propagation the language does not pin down across
+// separately compiled expressions.
 //
 //acr:spec-safe
 func EvalALU(op Op, a, b, c, imm int64) int64 {

@@ -20,10 +20,6 @@ type benchPoint struct {
 	Cores   int    `json:"cores"`
 	Ckpt    bool   `json:"ckpt"`
 	Workers int    `json:"workers"`
-	// Compile marks rows run with the block-compilation execution engine
-	// (sim.Config.Compile); results are bit-identical to compile=false
-	// rows, only the wall clock moves.
-	Compile bool `json:"compile,omitempty"`
 	// Strategy is the checkpoint scheme ("" for uncheckpointed rows; the
 	// pre-strategy-engine baseline rows carry "amnesic", which is what
 	// ckpt=true meant before the engine existed).
@@ -146,51 +142,6 @@ func benchSetup(tb testing.TB, cores, iters int, ck bool) (Config, *prog.Program
 	return benchStrategySetup(tb, cores, iters, kind)
 }
 
-// measureCompilePair measures one (cores, strategy, workers) configuration
-// with the engine off and then on, interleaving the repetitions
-// (off, on, off, on, ...) and keeping each side's fastest. The host's
-// throughput drifts up to ~1.5x on a minutes scale, so paired alternation
-// keeps the off/on comparison inside one noise window instead of letting
-// the two sides land in different ones.
-func measureCompilePair(t *testing.T, cores, iters, workers int, kind ckpt.Kind, baseName string) [2]benchPoint {
-	cfg, p := benchStrategySetup(t, cores, iters, kind)
-	cfg.Workers = workers
-
-	// One un-timed run for the instruction count of the workload.
-	m, err := New(cfg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var best [2]testing.BenchmarkResult
-	for rep := 0; rep < 3; rep++ {
-		for i, compile := range []bool{false, true} {
-			c := cfg
-			c.Compile = compile
-			r := testing.Benchmark(func(b *testing.B) { benchRun(b, c, p) })
-			if rep == 0 || r.NsPerOp() < best[i].NsPerOp() {
-				best[i] = r
-			}
-		}
-	}
-
-	var pts [2]benchPoint
-	for i, compile := range []bool{false, true} {
-		pt := pointFrom(best[i], fmt.Sprintf("%s/compile=%v", baseName, compile), cores, kind >= 0, res.Instrs)
-		pt.Workers = workers
-		pt.Compile = compile
-		if kind >= 0 {
-			pt.Strategy = kind.String()
-		}
-		pts[i] = pt
-	}
-	return pts
-}
-
 // pointFrom converts one benchmark result into its JSON row.
 func pointFrom(r testing.BenchmarkResult, name string, cores int, ckpt bool, instrs int64) benchPoint {
 	pt := benchPoint{
@@ -226,7 +177,7 @@ func measureCfg(t *testing.T, cfg Config, p *prog.Program, name string, cores in
 
 // TestEmitBenchJSON regenerates BENCH_8.json: the machine-scale matrix —
 // 32 (drift anchor) / 64 / 128 / 256 cores × {uncheckpointed, amnesic} ×
-// {interpreter, compiled} × {serial, parallel}, plus the 128-core quantum
+// {serial, parallel}, plus the 128-core quantum
 // statistics. It is gated behind ACR_BENCH_JSON (the output path, or "1"
 // for the repo-root default) so plain `go test ./...` stays fast; CI runs
 // it with -benchtime=1x as a smoke check and uploads the artifact, and
@@ -245,7 +196,7 @@ func TestEmitBenchJSON(t *testing.T) {
 	baseline := loadBenchBaseline(t)
 	doc := benchFile{
 		Issue:       8,
-		Description: "Sharded memory plane and quantum-coalescing scheduler: the machine-scale matrix at 32 (BENCH_7's largest, kept as the cross-invocation drift anchor), 64, 128 and 256 cores, serial (workers=1) and through the deterministic parallel engine (workers=N), interpreter (compile=false) and block-compiled (compile=true), uncheckpointed and amnesic. Same synthetic NAS-shaped kernel as BENCH_7 (10 iterations, 48 words/thread; amnesic rows establish ~12 checkpoints per run); quantum coalescing is on (the default) in every row — it is bit-identical to the flat scheduler by contract. Baseline is BENCH_7 (pre-sharding block-compilation matrix), loaded from the committed file; the speedup criteria extrapolate its 32-core per-core cost to 128 cores by instruction count.",
+		Description: "Sharded memory plane and quantum-coalescing scheduler: the machine-scale matrix at 32 (BENCH_7's largest, kept as the cross-invocation drift anchor), 64, 128 and 256 cores, serial (workers=1) and through the deterministic parallel engine (workers=N), uncheckpointed and amnesic. Same synthetic NAS-shaped kernel as BENCH_7 (10 iterations, 48 words/thread; amnesic rows establish ~12 checkpoints per run); quantum coalescing is on (the default) in every row — it is bit-identical to the flat scheduler by contract. Baseline is BENCH_7 (pre-sharding block-compilation matrix), loaded from the committed file; the speedup criteria extrapolate its 32-core per-core cost to 128 cores by instruction count.",
 		GoVersion:   runtime.Version(),
 		HostCPUs:    runtime.GOMAXPROCS(0),
 		Baseline:    baseline,
@@ -259,14 +210,19 @@ func TestEmitBenchJSON(t *testing.T) {
 				label = kind.String()
 			}
 			for _, w := range benchWorkersDim() {
-				base := fmt.Sprintf("cores=%d/strategy=%s/workers=%d", cores, label, w)
-				pair := measureCompilePair(t, cores, 10, w, kind, base)
-				for _, pt := range pair {
-					doc.Results = append(doc.Results, pt)
-					t.Logf("%s: %d ns/op, %d allocs/op, %.3f sim-MIPS", pt.Name, pt.NsPerOp, pt.AllocsPerOp, pt.SimMIPS)
+				cfg, p := benchStrategySetup(t, cores, 10, kind)
+				cfg.Workers = w
+				// The /compile=false suffix is kept so rows match BENCH_7/BENCH_8 by name.
+				name := fmt.Sprintf("cores=%d/strategy=%s/workers=%d/compile=false", cores, label, w)
+				pt := measureCfg(t, cfg, p, name, cores, kind >= 0)
+				pt.Workers = w
+				if kind >= 0 {
+					pt.Strategy = kind.String()
 				}
+				doc.Results = append(doc.Results, pt)
+				t.Logf("%s: %d ns/op, %d allocs/op, %.3f sim-MIPS", pt.Name, pt.NsPerOp, pt.AllocsPerOp, pt.SimMIPS)
 				if w == 1 {
-					measured[pair[0].Name] = anchor{pair[0].NsPerOp, pair[0].Instrs}
+					measured[pt.Name] = anchor{pt.NsPerOp, pt.Instrs}
 				}
 			}
 		}

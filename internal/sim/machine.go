@@ -89,15 +89,6 @@ type Config struct {
 	// MaxSteps bounds total instruction executions as a runaway guard.
 	MaxSteps int64
 
-	// Compile enables the block-compilation execution engine: basic
-	// blocks of the program are compiled once into straight-line Go
-	// closures and retired without per-instruction dispatch, with the
-	// interpreter as the deopt fallback (unhandled blocks, speculative
-	// rounds). Results are bit-identical to Compile=false for every
-	// configuration; only wall-clock time changes — like Workers, the
-	// knob is a speed seam, not a semantic one.
-	Compile bool
-
 	// Workers selects intra-run parallelism: up to Workers OS threads
 	// execute independent cores' quanta concurrently in conflict-checked
 	// speculative rounds (parallel.go), committing in the serial merge
@@ -113,10 +104,9 @@ type Config struct {
 	// prefix is executed eagerly. Private instructions commute across
 	// cores, so eager execution is exactly the serial interleaving
 	// reordered within a commutative window — and it raises the pick's
-	// bound, so the picked core dispatches longer quanta (the PR 9
-	// finding: the average serial quantum of 2.7 instructions kept the
-	// block engine at parity). Results are bit-identical with the knob
-	// off; only wall clock moves — a speed seam like Compile and Workers.
+	// bound, so the picked core dispatches longer quanta. Results are
+	// bit-identical with the knob off; only wall clock moves — a speed
+	// seam like Workers.
 	Coalesce bool
 
 	// RecordTimeline retains checkpoint/recovery events in the Result.
@@ -259,7 +249,6 @@ type Machine struct {
 	mgr     *ckpt.Manager
 
 	sched     *scheduler
-	runner    *cpu.BlockRunner
 	coord     coordinator
 	recov     recoverer
 	observers []Observer
@@ -401,33 +390,7 @@ func New(cfg Config, p *prog.Program) (*Machine, error) {
 		m.timeline = &timelineRecorder{cap: cfg.TimelineCap}
 		m.observers = append(m.observers, m.timeline)
 	}
-	if cfg.Compile {
-		// Block discovery cannot fail on a Validate-clean program; if a
-		// pathological image defeats it anyway, the run deopts wholesale
-		// to the interpreter — Compile never changes results, so it must
-		// never change runnability either.
-		if table, err := analysis.BuildBlockTable(p.Code, p.Entry); err == nil {
-			m.runner = cpu.NewBlockRunner(p, table, m.sys, m.tracker, m, cfg.Amnesic)
-		}
-	}
 	return m, nil
-}
-
-// CompileStats returns the block-engine counters (zero value when the
-// engine is off). Like ParallelStats, the counters are diagnostics, not
-// part of the architectural Result.
-func (m *Machine) CompileStats() cpu.CompileStats {
-	if m.runner == nil {
-		return cpu.CompileStats{}
-	}
-	return m.runner.Stats()
-}
-
-// denyCompile installs the block-compile veto (test hook forcing deopts).
-func (m *Machine) denyCompile(deny func(start, end int) bool) {
-	if m.runner != nil {
-		m.runner.SetDeny(deny)
-	}
 }
 
 // Mem exposes the memory system for result verification.
@@ -473,7 +436,7 @@ const handlerCycles = 25
 // completes, the machine hands the serial engine's dispatch diagnostics to
 // every configured observer that implements it. Kept separate from the
 // event stream because SchedStats describe the engine, not the simulated
-// machine — they vary with Coalesce/Compile/Workers while Result does not.
+// machine — they vary with Coalesce/Workers while Result does not.
 type SchedStatsObserver interface {
 	ObserveSchedStats(SchedStats)
 }
@@ -601,26 +564,20 @@ func (m *Machine) runSerial() (Result, error) {
 	return m.result(), nil
 }
 
-// stepSpan executes one quantum of core c: instructions retire until the
-// core leaves the Running state or its clock reaches bound, through the
-// compiled-block engine when it is on and the interpreter otherwise. The
-// MaxSteps runaway guard keeps the interpreter's exact semantics — the
-// instruction that exceeds the budget retires first, then the run fails.
-// Energy flushes once per quantum instead of once per instruction; counts
-// are commutative, so totals stay bit-identical.
+// stepSpan executes one quantum of core c: instructions retire, one Step
+// each, until the core leaves the Running state or its clock reaches
+// bound. The MaxSteps runaway guard keeps the interpreter's exact
+// semantics — the instruction that exceeds the budget retires first, then
+// the run fails. Energy flushes once per quantum instead of once per
+// instruction; counts are commutative, so totals stay bit-identical.
 func (m *Machine) stepSpan(c *cpu.Core, bound int64) error {
 	var n int64
-	if m.runner != nil {
-		n = m.runner.Run(c, bound, m.cfg.MaxSteps-m.steps+1)
-		m.steps += n
-	} else {
-		for c.State == cpu.Running && c.Cycles() < bound {
-			c.Step(m.program, m.sys, m.tracker, m)
-			m.steps++
-			n++
-			if m.steps > m.cfg.MaxSteps {
-				break
-			}
+	for c.State == cpu.Running && c.Cycles() < bound {
+		c.Step(m.program, m.sys, m.tracker, m)
+		m.steps++
+		n++
+		if m.steps > m.cfg.MaxSteps {
+			break
 		}
 	}
 	m.schedStats.note(n + m.eagerSpan)
@@ -646,8 +603,8 @@ const maxEagerSteps = 256
 
 // SchedStats summarises the serial engine's dispatch granularity. Like
 // ParallelStats these are engine diagnostics — they are not part of the
-// architectural Result, so Result stays bit-identical across Coalesce,
-// Compile, and Workers settings.
+// architectural Result, so Result stays bit-identical across Coalesce and
+// Workers settings.
 type SchedStats struct {
 	// Spans counts dispatched quanta; SpanInstrs the instructions retired
 	// per dispatch — the picked core's quantum plus any peer instructions

@@ -53,15 +53,12 @@ func BenchmarkMachineRun(b *testing.B) {
 	for _, cores := range []int{8, 16, 32, 128, 256} {
 		for _, ckpt := range []bool{false, true} {
 			for _, w := range benchWorkersDim() {
-				for _, compile := range []bool{false, true} {
-					name := fmt.Sprintf("cores=%d/ckpt=%v/workers=%d/compile=%v", cores, ckpt, w, compile)
-					b.Run(name, func(b *testing.B) {
-						cfg, p := benchSetup(b, cores, 10, ckpt)
-						cfg.Workers = w
-						cfg.Compile = compile
-						benchRun(b, cfg, p)
-					})
-				}
+				name := fmt.Sprintf("cores=%d/ckpt=%v/workers=%d", cores, ckpt, w)
+				b.Run(name, func(b *testing.B) {
+					cfg, p := benchSetup(b, cores, 10, ckpt)
+					cfg.Workers = w
+					benchRun(b, cfg, p)
+				})
 			}
 		}
 	}

@@ -52,10 +52,11 @@ func checkBitIdentical(t *testing.T, label string, serial, par Result, serialMem
 // conflict-abort/serial-replay path.
 func TestParallelBitIdentityFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	const numModes = 7
 	scenarios := 12
 	coreChoices := []int{8, 16, 32}
 	if testing.Short() {
-		scenarios = 4
+		scenarios = numModes
 		coreChoices = []int{8, 16}
 	}
 
@@ -68,14 +69,21 @@ func TestParallelBitIdentityFuzz(t *testing.T) {
 		p := testKernel(cores, perThread, iters)
 
 		cfg := DefaultConfig(cores)
-		mode := rng.Intn(4) // 0: no ckpt, 1: ckpt, 2: amnesic, 3: amnesic local
+		// 0: no ckpt, 1: full, 2: amnesic, 3: amnesic local, 4: differential,
+		// 5: tiered, 6: auto. Differential and tiered are Global-only. The
+		// mode cycles rather than being drawn so every strategy meets a
+		// random shape in every run, -short included.
+		mode := i % numModes
 		if mode > 0 {
 			ref, refMem, _ := runWorkers(t, cfg, p, 1)
 			_ = refMem
 			cfg.Checkpointing = true
-			cfg.Amnesic = mode >= 2
+			cfg.Amnesic = mode == 2 || mode == 3
 			if mode == 3 {
 				cfg.Mode = ckpt.Local
+			}
+			if mode >= 4 {
+				cfg.Strategy = []ckpt.Kind{ckpt.KindDifferential, ckpt.KindTiered, ckpt.KindAuto}[mode-4]
 			}
 			cfg.PeriodCycles = ref.Cycles / 4
 			if rng.Intn(2) == 1 {
@@ -89,7 +97,7 @@ func TestParallelBitIdentityFuzz(t *testing.T) {
 			cfg.RecordTimeline = true
 		}
 
-		label := "scenario " + string(rune('A'+i))
+		label := "scenario " + string(rune('A'+i)) + "/mode=" + string(rune('0'+mode))
 		serial, serialMem, _ := runWorkers(t, cfg, p, 1)
 		par, parMem, ps := runWorkers(t, cfg, p, workers)
 		checkBitIdentical(t, label, serial, par, serialMem, parMem)

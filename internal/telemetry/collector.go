@@ -205,7 +205,7 @@ func (c *Collector) ObserveResult(res sim.Result) {
 // parallel engine's round counters when the run used it. It is a separate
 // observer from Collector because sim.SchedStats and sim.ParallelStats
 // describe the engine, not the simulated machine: they move with the
-// Coalesce/Compile/Workers speed seams while Result does not, and profiles
+// Coalesce/Workers speed seams while Result does not, and profiles
 // recorded without a SchedCollector attached (notably the fastpath oracle
 // fixture) must stay byte-identical.
 type SchedCollector struct{ reg *Registry }
